@@ -6,6 +6,10 @@ package carpool
 // the headline quantity as a custom metric; micro-benchmarks cover the hot
 // paths (FFT, Viterbi, frame construction, MAC simulation). Ablation
 // benchmarks quantify the design choices called out in DESIGN.md §5.
+//
+// Engine and cluster benchmarks pin AdmissionShards — to NumSTAs/4, the
+// ceiling of the GOMAXPROCS-derived default, or to 1 in the deterministic
+// runners — so their allocs/op do not depend on the host's core count.
 
 import (
 	"bytes"
@@ -542,6 +546,7 @@ func BenchmarkViterbiDecode1500B(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fec.ViterbiDecode(coded, fec.Rate1_2, len(info)); err != nil {
@@ -586,27 +591,6 @@ func BenchmarkViterbiDecodeSoft1500B(b *testing.B) {
 }
 
 func BenchmarkViterbiDecodeSoftQ1500B(b *testing.B) {
-	llrs, numInfo := softBenchLLRs(b)
-	qllrs := make([]int8, len(llrs))
-	fec.QuantizeLLRsInto(qllrs, llrs, 1)
-	var dec fec.SoftDecoder
-	dst := make([]byte, numInfo)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dec.DecodeInto(dst, qllrs, fec.Rate1_2, numInfo); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(1500)
-}
-
-// BenchmarkViterbiDecodeSoftQ8Lane1500B gates the 8-lane SWAR add-compare-
-// select kernel: since the two-word rewrite, SoftDecoder.DecodeInto runs
-// all 16 states as eight packed lanes across two uint64 metric words per
-// rank. The separate name lets benchdiff -fail-over pin the fast path even
-// as the legacy-named benchmark carries its pre-rewrite baseline.
-func BenchmarkViterbiDecodeSoftQ8Lane1500B(b *testing.B) {
 	llrs, numInfo := softBenchLLRs(b)
 	qllrs := make([]int8, len(llrs))
 	fec.QuantizeLLRsInto(qllrs, llrs, 1)
@@ -751,8 +735,9 @@ func BenchmarkEngineDeterministicSecond(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := RunEngineDeterministic(context.Background(), EngineConfig{
-			NumSTAs:  8,
-			QueueCap: 1 << 16,
+			NumSTAs:         8,
+			QueueCap:        1 << 16,
+			AdmissionShards: 1,
 		}, flows)
 		if err != nil {
 			b.Fatal(err)
@@ -771,7 +756,7 @@ func BenchmarkEngineSubmitDrain10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2})
+		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2, AdmissionShards: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -807,7 +792,7 @@ func BenchmarkEngineBatchSubmitDrain10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2})
+		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2, AdmissionShards: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -853,7 +838,7 @@ func BenchmarkWireBatchRoundtrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2})
+		e, err := NewEngine(EngineConfig{NumSTAs: 8, QueueCap: 1 << 14, Workers: 2, AdmissionShards: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -911,9 +896,10 @@ func BenchmarkEngineDeterministicSampled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, err := RunEngineDeterministic(context.Background(), EngineConfig{
-			NumSTAs:     8,
-			QueueCap:    1 << 16,
-			SampleEvery: 8,
+			NumSTAs:         8,
+			QueueCap:        1 << 16,
+			SampleEvery:     8,
+			AdmissionShards: 1,
 		}, flows)
 		if err != nil {
 			b.Fatal(err)
@@ -930,7 +916,7 @@ func BenchmarkEngineDeterministicSampled(b *testing.B) {
 // subscriber or health monitor imposes per sample on the serving path.
 func BenchmarkEngineStats(b *testing.B) {
 	const frames = 20_000
-	e, err := NewEngine(EngineConfig{NumSTAs: 32, QueueCap: 1 << 14, Workers: 2})
+	e, err := NewEngine(EngineConfig{NumSTAs: 32, QueueCap: 1 << 14, Workers: 2, AdmissionShards: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -980,7 +966,7 @@ func benchEngineParallelSubmit(b *testing.B, conns int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := NewEngine(EngineConfig{NumSTAs: numSTAs, QueueCap: 1 << 13, Workers: 2})
+		e, err := NewEngine(EngineConfig{NumSTAs: numSTAs, QueueCap: 1 << 13, Workers: 2, AdmissionShards: numSTAs / 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1152,7 +1138,7 @@ func benchClusterSubmitDrain(b *testing.B, aps int) {
 	for i := 0; i < b.N; i++ {
 		c, err := NewCluster(ClusterConfig{
 			APs:    aps,
-			Engine: EngineConfig{NumSTAs: numSTAs, QueueCap: 1 << 14, Workers: 1},
+			Engine: EngineConfig{NumSTAs: numSTAs, QueueCap: 1 << 14, Workers: 1, AdmissionShards: numSTAs / 4},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -33,11 +33,12 @@ import (
 )
 
 // suite is the default benchmark set: the size-64 FFT kernel, the Viterbi
-// decoders on a full 1500-byte MPDU (hard, float64 soft, the quantized
-// int8 fast path, and its 8-lane SWAR gate), one station's whole-frame
-// Carpool receive, one simulated second of the MAC, and the real-time
-// engine's deterministic second, concurrent submit+drain (per-frame and
-// batched), and the batched wire round trip over loopback TCP. The
+// decoders on a full 1500-byte MPDU (hard decisions and quantized int8
+// LLRs through the one SWAR kernel, and the float64 soft oracle), one
+// station's whole-frame Carpool receive, one simulated second of the MAC,
+// and the real-time engine's deterministic second, concurrent
+// submit+drain (per-frame and batched), and the batched wire round trip
+// over loopback TCP. The
 // observability arm pins what telemetry costs: the deterministic second
 // with 1-in-8 lifecycle sampling, a Stats snapshot on a populated engine,
 // and one ring-tracer emission. The parallel-submit family drives the
@@ -55,7 +56,6 @@ var suite = []string{
 	"BenchmarkViterbiDecode1500B",
 	"BenchmarkViterbiDecodeSoft1500B",
 	"BenchmarkViterbiDecodeSoftQ1500B",
-	"BenchmarkViterbiDecodeSoftQ8Lane1500B",
 	"BenchmarkCarpoolFrameReceive",
 	"BenchmarkMACSimulationSecond",
 	"BenchmarkEngineDeterministicSecond",

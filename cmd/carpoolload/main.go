@@ -114,8 +114,8 @@ func main() {
 
 func printReport(rep *engine.LoadReport) {
 	s := rep.Server
-	fmt.Printf("offered   %d frames (%d sent) in %v — %.0f frames/s sent, %.0f end to end\n",
-		rep.Offered, rep.Sent, rep.TotalElapsed.Round(time.Millisecond), rep.SendRate, rep.EndToEndRate)
+	fmt.Printf("offered   %d frames (%d sent) in %v — %.0f frames/s sent, %.0f delivered end to end\n",
+		rep.Offered, rep.Sent, rep.TotalElapsed.Round(time.Millisecond), rep.SendRate, rep.DeliveredRate)
 	if rep.RoamsSent > 0 {
 		fmt.Printf("roaming   %d handoff requests interleaved\n", rep.RoamsSent)
 	}

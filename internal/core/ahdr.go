@@ -51,7 +51,8 @@ func BuildAHDR(f bloom.Filter) ([]complex128, error) {
 }
 
 // DecodeAHDR inverts BuildAHDR from the two symbols' equalized,
-// phase-compensated data points (48 per symbol).
+// phase-compensated data points (48 per symbol). Its scratch lives on the
+// stack and the Viterbi runs on fec's pooled decoder.
 func DecodeAHDR(dataPoints [][]complex128) (bloom.Filter, error) {
 	if len(dataPoints) != AHDRSymbols {
 		return 0, fmt.Errorf("core: A-HDR needs %d symbols, got %d", AHDRSymbols, len(dataPoints))
@@ -70,9 +71,9 @@ func DecodeAHDR(dataPoints [][]complex128) (bloom.Filter, error) {
 			return 0, err
 		}
 	}
-	bits, err := fec.ViterbiDecode(coded[:], fec.Rate1_2, ahdrBits)
-	if err != nil {
+	var bits [ahdrBits]byte
+	if err := fec.ViterbiDecodeInto(bits[:], coded[:], fec.Rate1_2, ahdrBits); err != nil {
 		return 0, err
 	}
-	return bloom.FromBits(bits)
+	return bloom.FromBits(bits[:])
 }

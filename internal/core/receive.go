@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"carpool/internal/bloom"
 	"carpool/internal/obs"
@@ -246,10 +245,7 @@ func ReceiveFrame(rx []complex128, cfg ReceiverConfig) (*FrameRx, error) {
 					Blocks: llrqs[i], MCS: jobs[i].sig.MCS, PayloadLen: jobs[i].sig.Length,
 				}
 			}
-			dec := softQPool.Get().(*phy.SoftQDecoder)
-			_, err := dec.DecodeDataFieldBatch(batch)
-			softQPool.Put(dec)
-			if err != nil {
+			if _, err := phy.DecodeDataFieldBatch(batch); err != nil {
 				return nil, err
 			}
 			for i := range batch {
@@ -292,10 +288,6 @@ type subframeJob struct {
 	sig      phy.SIG
 	sigPhase float64
 }
-
-// softQPool recycles quantized soft-decode workspaces across subframes and
-// frames; each phase-2 worker checks one out for the duration of a decode.
-var softQPool = sync.Pool{New: func() any { return new(phy.SoftQDecoder) }}
 
 // demodSubframe demodulates one located subframe without touching FEC,
 // returning its quantized per-symbol LLR blocks when the soft chain is
@@ -357,9 +349,7 @@ func decodeSubframe(buf, h []complex128, job subframeJob, scheme *sidechannel.Sc
 	if !cfg.SkipFEC {
 		var payload []byte
 		if cfg.SoftFEC {
-			dec := softQPool.Get().(*phy.SoftQDecoder)
-			payload, err = dec.DecodeDataField(llrqs, job.sig.MCS, job.sig.Length)
-			softQPool.Put(dec)
+			payload, err = phy.DecodeDataFieldSoftQ(llrqs, job.sig.MCS, job.sig.Length)
 		} else {
 			payload, err = phy.DecodeDataField(sub.Blocks, job.sig.MCS, job.sig.Length)
 		}

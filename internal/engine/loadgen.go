@@ -101,8 +101,12 @@ type LoadReport struct {
 	// TotalElapsed extends through the server's drain completion.
 	Elapsed, TotalElapsed time.Duration
 	// SendRate is Sent/Elapsed in frames per second; EndToEndRate is
-	// Sent/TotalElapsed — offered, queued, transmitted, and ACKed.
+	// Sent/TotalElapsed, which counts frames the server rejected too.
 	SendRate, EndToEndRate float64
+	// DeliveredRate is Server.Delivered/TotalElapsed: frames offered,
+	// queued, transmitted, and ACKed per second. Rejected, dropped, and
+	// expired frames never count.
+	DeliveredRate float64
 	// Server is the engine's post-drain accounting: delivery counts, drop
 	// rate, latency percentiles.
 	Server Stats
@@ -323,6 +327,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	}
 	if rep.TotalElapsed > 0 {
 		rep.EndToEndRate = float64(rep.Sent) / rep.TotalElapsed.Seconds()
+		rep.DeliveredRate = float64(st.Delivered) / rep.TotalElapsed.Seconds()
 	}
 
 	if sub != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -198,6 +199,38 @@ func TestEngineSoak(t *testing.T) {
 	}
 	if n := goroutineCount(baseline); n > baseline {
 		t.Errorf("goroutine leak after soak: %d > baseline %d", n, baseline)
+	}
+}
+
+// TestLoadReportDeliveredRate pins the generator's end-to-end rate to
+// delivered frames. A 2-frame queue cap behind airtime-paced workers
+// rejects most of a closed-loop burst, so the sent-based EndToEndRate
+// must exceed DeliveredRate, which counts only what the server delivered.
+func TestLoadReportDeliveredRate(t *testing.T) {
+	addr, _, shutdown := startLoopback(t, Config{NumSTAs: 4, QueueCap: 2, PaceAirtime: true})
+	rep, err := RunLoad(context.Background(), LoadConfig{
+		Addr:       addr,
+		NumSTAs:    4,
+		RatePerSec: 4000,
+		FrameBytes: 1200,
+		Duration:   500 * time.Millisecond,
+		Seed:       7,
+	})
+	shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rep.Server
+	if s.Rejected == 0 {
+		t.Fatalf("no frames rejected (%+v); the test needs an overloaded server", s)
+	}
+	want := float64(s.Delivered) / rep.TotalElapsed.Seconds()
+	if math.Abs(rep.DeliveredRate-want) > 1e-9*want {
+		t.Errorf("DeliveredRate %.3f, want Delivered/TotalElapsed = %.3f", rep.DeliveredRate, want)
+	}
+	if rep.DeliveredRate >= rep.EndToEndRate {
+		t.Errorf("DeliveredRate %.0f not below sent-based EndToEndRate %.0f with %d of %d frames rejected",
+			rep.DeliveredRate, rep.EndToEndRate, s.Rejected, rep.Sent)
 	}
 }
 

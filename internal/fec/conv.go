@@ -1,12 +1,16 @@
 // Package fec implements the IEEE 802.11 OFDM forward-error-correction
 // chain: the frame-synchronous scrambler, the K=7 rate-1/2 convolutional
-// code with puncturing to rates 2/3 and 3/4, a hard-decision Viterbi
-// decoder, the two-permutation block interleaver, and the CRC family used by
-// Carpool (CRC-32 frame FCS plus the tiny CRC-1/CRC-2 symbol-level
-// checksums carried on the phase-offset side channel).
+// code with puncturing to rates 2/3 and 3/4, one Viterbi kernel serving
+// both hard and soft decisions, the two-permutation block interleaver, and
+// the CRC family used by Carpool (CRC-32 frame FCS plus the tiny
+// CRC-1/CRC-2 symbol-level checksums carried on the phase-offset side
+// channel).
 package fec
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // The 802.11 convolutional code: constraint length 7, generator polynomials
 // g0 = 133 (octal), g1 = 171 (octal).
@@ -142,43 +146,21 @@ func ConvEncode(bits []byte, rate CodeRate) ([]byte, error) {
 	return out, nil
 }
 
-// depuncture re-inserts erasures (value 2) where punctured bits were
-// dropped, recovering the mother-code stream length 2*numInfoBits.
-func depuncture(coded []byte, rate CodeRate, numInfoBits int) ([]byte, error) {
-	pattern := rate.puncturePattern()
-	mother := make([]byte, 0, 2*numInfoBits)
-	src := 0
-	for len(mother) < 2*numInfoBits {
-		for _, keep := range pattern {
-			if len(mother) == 2*numInfoBits {
-				break
-			}
-			if keep {
-				if src >= len(coded) {
-					return nil, fmt.Errorf("fec: coded stream too short: have %d bits, need more for %d info bits at rate %v",
-						len(coded), numInfoBits, rate)
-				}
-				mother = append(mother, coded[src])
-				src++
-			} else {
-				mother = append(mother, 2) // erasure
-			}
-		}
-	}
-	return mother, nil
-}
+// hardPool recycles the decoders behind ViterbiDecode and
+// ViterbiDecodeInto, so hard decodes on any goroutine reuse warm survivor
+// and LLR buffers instead of allocating a trellis per call.
+var hardPool = sync.Pool{New: func() any { return new(SoftDecoder) }}
 
 // ViterbiDecode performs maximum-likelihood hard-decision decoding of a
 // punctured convolutional stream. numInfoBits is the number of information
 // bits the caller expects (including any tail bits it appended at encode
-// time). Erasures introduced by depuncturing contribute zero branch metric.
+// time). Coded values other than 0 and 1 are erasures and, like the
+// positions depuncturing re-inserts, contribute zero branch metric.
 //
-// The trellis walk is organized around next states: state ns (whose LSB is
-// the input bit) has exactly two predecessors, ns>>1 and (ns>>1)|32, so one
-// survivor bit per state per step suffices — survivors pack into a single
-// uint64 per trellis step instead of a per-step slice, and the add-compare-
-// select loop reads the init-time branchOut table through a per-step 4-entry
-// cost table.
+// There is no separate hard-decision trellis: the decode runs on the same
+// SWAR kernel as SoftDecoder, fed unit-confidence LLRs (see
+// SoftDecoder.DecodeHardInto), which walks exactly the Hamming-metric
+// survivor path.
 func ViterbiDecode(coded []byte, rate CodeRate, numInfoBits int) ([]byte, error) {
 	if !rate.Valid() {
 		return nil, fmt.Errorf("fec: invalid code rate %v", rate)
@@ -186,78 +168,22 @@ func ViterbiDecode(coded []byte, rate CodeRate, numInfoBits int) ([]byte, error)
 	if numInfoBits <= 0 {
 		return nil, fmt.Errorf("fec: numInfoBits must be positive, got %d", numInfoBits)
 	}
-	mother := coded
-	if rate != Rate1_2 {
-		var err error
-		mother, err = depuncture(coded, rate, numInfoBits)
-		if err != nil {
-			return nil, err
-		}
-	} else if len(coded) < 2*numInfoBits {
-		// Rate 1/2 punctures nothing: the coded stream is the mother stream.
-		return nil, fmt.Errorf("fec: coded stream too short: have %d bits, need more for %d info bits at rate %v",
-			len(coded), numInfoBits, rate)
-	}
-
-	const inf = int32(1) << 29
-	var m0, m1 [numStates]int32
-	metric, next := &m0, &m1
-	for i := 1; i < numStates; i++ {
-		metric[i] = inf
-	}
-	// survivors[t] bit ns is set when state ns's winning predecessor at step
-	// t was (ns>>1)|32 rather than ns>>1.
-	survivors := make([]uint64, numInfoBits)
-
-	for t := 0; t < numInfoBits; t++ {
-		rxA, rxB := mother[2*t], mother[2*t+1]
-		// cost[o] is the branch metric of emitting packed output o against
-		// the received pair; erasures (value 2) cost nothing either way.
-		var cost [4]int32
-		for o := 0; o < 4; o++ {
-			oa, ob := byte(o>>1), byte(o&1)
-			var c int32
-			if rxA != 2 && rxA != oa {
-				c++
-			}
-			if rxB != 2 && rxB != ob {
-				c++
-			}
-			cost[o] = c
-		}
-		var bits uint64
-		for ns := 0; ns < numStates; ns++ {
-			b := ns & 1
-			p0 := ns >> 1
-			p1 := p0 | numStates/2
-			c0 := metric[p0] + cost[branchOut[p0][b]]
-			c1 := metric[p1] + cost[branchOut[p1][b]]
-			if c1 < c0 {
-				next[ns] = c1
-				bits |= 1 << uint(ns)
-			} else {
-				next[ns] = c0
-			}
-		}
-		survivors[t] = bits
-		metric, next = next, metric
-	}
-
-	// Traceback from the best final state. When the caller terminated the
-	// trellis with tail bits, state 0 wins naturally.
-	best := 0
-	for s := 1; s < numStates; s++ {
-		if metric[s] < metric[best] {
-			best = s
-		}
-	}
 	out := make([]byte, numInfoBits)
-	state := best
-	for t := numInfoBits - 1; t >= 0; t-- {
-		out[t] = byte(state & 1)
-		state = state>>1 | int((survivors[t]>>uint(state))&1)<<5
+	if err := ViterbiDecodeInto(out, coded, rate, numInfoBits); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// ViterbiDecodeInto is ViterbiDecode writing into dst (len(dst) ==
+// numInfoBits) through a pooled decoder: in steady state it allocates
+// nothing, so short fixed-size decodes (SIG, A-HDR) can keep dst on the
+// stack.
+func ViterbiDecodeInto(dst, coded []byte, rate CodeRate, numInfoBits int) error {
+	d := hardPool.Get().(*SoftDecoder)
+	err := d.DecodeHardInto(dst, coded, rate, numInfoBits)
+	hardPool.Put(d)
+	return err
 }
 
 // TailBits is the number of zero bits appended to terminate the trellis.

@@ -150,3 +150,20 @@ func (il *Interleaver) DeinterleaveLLRInto(out, in []int8) error {
 	}
 	return nil
 }
+
+// DeinterleaveHardInto applies the inverse permutation to one block of
+// hard 0/1 decisions, writing each as its unit-confidence LLR (+1 for
+// 0, -1 for 1) —
+// the hard receive path's input to SoftDecoder. Allocation-free.
+func (il *Interleaver) DeinterleaveHardInto(out []int8, in []byte) error {
+	if len(in) != il.ncbps {
+		return fmt.Errorf("fec: deinterleave block length %d, want %d", len(in), il.ncbps)
+	}
+	if len(out) != il.ncbps {
+		return fmt.Errorf("fec: deinterleave output length %d, want %d", len(out), il.ncbps)
+	}
+	for j, k := range il.inv {
+		out[k] = hardLLR[in[j]]
+	}
+	return nil
+}

@@ -48,9 +48,17 @@ import (
 //     so their add-compare-select chains retire in parallel, and the
 //     selected words store back directly with no uint16 repacking.
 //
-// Tie-breaking matches ViterbiDecode and ViterbiDecodeSoft: on equal
-// metrics the low predecessor (state>>1) wins, so all three decoders walk
-// identical survivor paths on identical-decision inputs.
+// Tie-breaking matches ViterbiDecodeSoft and the scalar hard-decision
+// Hamming decoder kept as a test oracle: on equal metrics the low
+// predecessor (state>>1) wins, so all three walk identical survivor paths
+// on identical-decision inputs.
+//
+// Hard decisions run on this same kernel (DecodeHardInto, and through it
+// ViterbiDecode): coded bit 0 becomes LLR +1, bit 1 becomes -1, and
+// erasures 0. With unit magnitudes every branch metric is the Hamming
+// distance, the 0x3000 start handicap dwarfs any 6-step hard path cost
+// (12), and the tie and best-state rules are the scalar decoder's, so the
+// decode is bit-identical to a Hamming-metric Viterbi, not merely close.
 const (
 	renormInterval = 64
 	// initialMetric handicaps the 63 non-zero start states. It only needs
@@ -116,10 +124,11 @@ func buildButterflyOut() (t [16]uint8) {
 	return t
 }
 
-// SoftDecoder is a reusable quantized soft-decision Viterbi decoder. The
+// SoftDecoder is the package's reusable Viterbi decoder: quantized soft
+// decisions through DecodeInto, hard decisions through DecodeHardInto. The
 // zero value is ready to use; after the first call of a given frame size,
-// DecodeInto performs zero heap allocations. A SoftDecoder must not be
-// shared between goroutines (use one per worker, or a sync.Pool).
+// both perform zero heap allocations. A SoftDecoder must not be shared
+// between goroutines (use one per worker, or a sync.Pool).
 type SoftDecoder struct {
 	// metrics holds the two ping-pong path-metric arrays in packed SWAR
 	// form: 16 uint64 words of four 16-bit lanes, word w carrying states
@@ -128,6 +137,27 @@ type SoftDecoder struct {
 	metrics   [2][numMetricWords]uint64
 	survivors []uint64
 	scratch   []int8 // depunctured mother stream for rates 2/3 and 3/4
+	hard      []int8 // DecodeHardInto's coded bits as unit LLRs
+}
+
+// hardLLR maps a hard coded-bit decision to its unit-confidence LLR: 0 ->
+// +1, 1 -> -1, and any other value (an erasure) -> 0.
+var hardLLR = [256]int8{0: 1, 1: -1}
+
+// DecodeHardInto decodes a punctured stream of hard decisions (one 0/1
+// byte per coded bit; any other value is an erasure) into dst, on the same
+// kernel as DecodeInto. It is bit-identical to a Hamming-metric
+// hard-decision Viterbi (see the tie-breaking notes above) and allocates
+// nothing in steady state.
+func (d *SoftDecoder) DecodeHardInto(dst, coded []byte, rate CodeRate, numInfoBits int) error {
+	if cap(d.hard) < len(coded) {
+		d.hard = make([]int8, len(coded))
+	}
+	llrs := d.hard[:len(coded)]
+	for i, b := range coded {
+		llrs[i] = hardLLR[b]
+	}
+	return d.DecodeInto(dst, llrs, rate, numInfoBits)
 }
 
 // Decode is DecodeInto with an allocated output slice.

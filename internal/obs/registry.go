@@ -75,8 +75,7 @@ func (g *Gauge) Load() float64 {
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1, last is overflow
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
+	sumBits atomic.Uint64  // float64 bits, CAS-accumulated
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -92,7 +91,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		s := math.Float64frombits(old) + v
@@ -226,11 +224,13 @@ func (r *Registry) Snapshot() Snapshot {
 		hs := HistogramSnapshot{
 			Bounds:  h.Bounds(),
 			Buckets: make([]int64, len(h.buckets)),
-			Count:   h.count.Load(),
 			Sum:     math.Float64frombits(h.sumBits.Load()),
 		}
+		// Count is the sum of the buckets as loaded, so a snapshot taken
+		// under concurrent Observe calls stays self-consistent.
 		for i := range h.buckets {
 			hs.Buckets[i] = h.buckets[i].Load()
+			hs.Count += hs.Buckets[i]
 		}
 		s.Histograms[name] = hs
 	}

@@ -148,8 +148,9 @@ func DecodeSIGPoints(points []complex128) (SIG, error) {
 }
 
 // decodeSIGSymbol inverts BuildSIGSymbol from equalized, phase-compensated
-// bins. Carpool decodes one SIG per subframe per receiver, so the demap and
-// deinterleave scratch lives on the stack.
+// bins. Carpool decodes one SIG per subframe per receiver, so the demap,
+// deinterleave and info-bit scratch lives on the stack and the Viterbi
+// runs on fec's pooled decoder: no steady-state allocations.
 func decodeSIGSymbol(dataPoints []complex128) (SIG, error) {
 	var block, coded [ofdm.NumData]byte // BPSK: ncbps == NumData
 	if err := modem.DemapInto(block[:], sigMCS.Mod, dataPoints); err != nil {
@@ -162,9 +163,9 @@ func decodeSIGSymbol(dataPoints []complex128) (SIG, error) {
 	if err := il.DeinterleaveInto(coded[:], block[:]); err != nil {
 		return SIG{}, err
 	}
-	bits, err := fec.ViterbiDecode(coded[:], fec.Rate1_2, sigBitCount)
-	if err != nil {
+	var bits [sigBitCount]byte
+	if err := fec.ViterbiDecodeInto(bits[:], coded[:], fec.Rate1_2, sigBitCount); err != nil {
 		return SIG{}, err
 	}
-	return decodeSIGBits(bits)
+	return decodeSIGBits(bits[:])
 }

@@ -86,40 +86,14 @@ func EncodeDataField(payload []byte, mcs MCS, seed byte) ([][]byte, error) {
 	return blocks, nil
 }
 
-// DecodeDataField inverts EncodeDataField: deinterleaves the per-symbol
-// blocks, Viterbi-decodes, recovers the scrambler state from the SERVICE
-// field, and returns the payload bytes.
+// DecodeDataField inverts EncodeDataField from hard-demapped blocks:
+// deinterleaves, Viterbi-decodes, recovers the scrambler state from the
+// SERVICE field, and returns the payload bytes. It runs
+// SoftQDecoder.DecodeHardDataField on a pooled decoder.
 func DecodeDataField(blocks [][]byte, mcs MCS, payloadLen int) ([]byte, error) {
-	if !mcs.Valid() {
-		return nil, fmt.Errorf("phy: invalid MCS %v", mcs)
-	}
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("phy: non-positive payload length %d", payloadLen)
-	}
-	nsym := mcs.NumSymbols(payloadLen)
-	if len(blocks) < nsym {
-		return nil, fmt.Errorf("phy: %d symbol blocks, need %d for %d bytes", len(blocks), nsym, payloadLen)
-	}
-	ncbps := mcs.CodedBitsPerSymbol()
-	il, err := fec.CachedInterleaver(ncbps, mcs.Mod.BitsPerSymbol())
-	if err != nil {
-		return nil, err
-	}
-	coded := make([]byte, nsym*ncbps)
-	for i := 0; i < nsym; i++ {
-		if err := il.DeinterleaveInto(coded[i*ncbps:(i+1)*ncbps], blocks[i]); err != nil {
-			return nil, err
-		}
-	}
-	info, err := fec.ViterbiDecode(coded, mcs.Rate, nsym*mcs.DataBitsPerSymbol())
-	if err != nil {
-		return nil, err
-	}
-	// The first 7 SERVICE bits expose the scrambling sequence.
-	descrambler := fec.ScramblerFromOutputs(info[:7])
-	descrambler.Apply(info[7:])
-	payloadBits := info[serviceBits : serviceBits+8*payloadLen]
-	return BitsToBytes(payloadBits), nil
+	d := decoderPool.Get().(*SoftQDecoder)
+	defer decoderPool.Put(d)
+	return d.DecodeHardDataField(blocks, mcs, payloadLen)
 }
 
 // DecodeDataFieldSoft is the soft-decision counterpart of DecodeDataField:
@@ -127,18 +101,7 @@ func DecodeDataField(blocks [][]byte, mcs MCS, payloadLen int) ([]byte, error) {
 // modem.DemapSoft convention) and decodes with the soft Viterbi. Soft
 // decoding buys roughly 2 dB over the paper's hard-decision prototype.
 func DecodeDataFieldSoft(llrBlocks [][]float64, mcs MCS, payloadLen int) ([]byte, error) {
-	if !mcs.Valid() {
-		return nil, fmt.Errorf("phy: invalid MCS %v", mcs)
-	}
-	if payloadLen <= 0 {
-		return nil, fmt.Errorf("phy: non-positive payload length %d", payloadLen)
-	}
-	nsym := mcs.NumSymbols(payloadLen)
-	if len(llrBlocks) < nsym {
-		return nil, fmt.Errorf("phy: %d LLR blocks, need %d for %d bytes", len(llrBlocks), nsym, payloadLen)
-	}
-	ncbps := mcs.CodedBitsPerSymbol()
-	il, err := fec.CachedInterleaver(ncbps, mcs.Mod.BitsPerSymbol())
+	nsym, ncbps, il, err := dataFieldGeometry(len(llrBlocks), mcs, payloadLen)
 	if err != nil {
 		return nil, err
 	}
